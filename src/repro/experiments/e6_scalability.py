@@ -140,12 +140,14 @@ def flow_cache_table(cfg: ExperimentConfig) -> Table:
         cold = (time.perf_counter() - start) / reps * 1e6
 
         device.invalidate_flow_cache()
-        device.flow_cache_hits = device.flow_cache_misses = 0
+        hits, misses = device.flow_cache_hits, device.flow_cache_misses
         start = time.perf_counter()
         for i in range(reps):
             device.wants(packets[i % n_flows])
         warm = (time.perf_counter() - start) / reps * 1e6
-        table.add_row(n, n_flows, round(device.flow_cache_hit_rate * 100, 1),
+        hits = device.flow_cache_hits - hits
+        misses = device.flow_cache_misses - misses
+        table.add_row(n, n_flows, round(hits / (hits + misses) * 100, 1),
                       round(cold, 2), round(warm, 2),
                       round(cold / warm, 1) if warm else 0.0)
     table.add_note("cold = cache invalidated before every decision (the "

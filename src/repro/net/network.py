@@ -186,7 +186,7 @@ class Network:
         self.routing = build_routing(self.topology)
         for router in self.routers.values():
             device = router.adaptive_device
-            if device is not None and hasattr(device, "on_routing_update"):
+            if device is not None:
                 device.on_routing_update()
 
     # -------------------------------------------------------------- execution

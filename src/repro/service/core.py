@@ -7,8 +7,10 @@ safety containment that disables a violating service on the spot.  Both
 consumers share it byte-for-byte:
 
 * the simulator's :class:`~repro.core.device.AdaptiveDevice` delegates
-  its scalar and batch paths here (and injects its ``device.*`` registry
-  counters, so experiment tables are unchanged by the extraction),
+  its scalar path (:meth:`DecisionCore.wants`/:meth:`DecisionCore.process`)
+  and its batch path (:meth:`DecisionCore.decide_batch`) here, and
+  injects its ``device.*`` registry counters, so experiment tables are
+  unchanged by the extraction,
 * the live :class:`~repro.service.facade.ServiceFacade` drives the same
   core from wall-clock (or injected) time and emits ``service.*``
   counters instead.
@@ -21,7 +23,9 @@ itself declares no metric families and can run registry-free.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, TYPE_CHECKING
+from typing import Iterator, Optional, TYPE_CHECKING
+
+import numpy as np
 
 from repro.errors import DeploymentError, SafetyViolation
 from repro.core.components import ComponentContext, Verdict
@@ -33,11 +37,11 @@ from repro.net.packet import Packet, Protocol
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.device import DeviceContext, ServiceInstance
+    from repro.net.packet import PacketBatch
 
 __all__ = ["DecisionCore", "StatCell", "FLOW_CACHE_CAPACITY"]
 
-#: Default per-core LRU flow-cache capacity (distinct 4-tuples) — the
-#: same constant :mod:`repro.core.device` re-exports.
+#: Default per-core LRU flow-cache capacity (distinct 4-tuples).
 FLOW_CACHE_CAPACITY = 4096
 
 #: The counter slots a core accounts into (see ``counters=`` below).
@@ -196,8 +200,13 @@ class DecisionCore:
         """Slow path: resolve owners via the registry and cache the result."""
         self.m_fc_misses.value += 1
         registry = self.registry
-        src_owner = registry.owner_of(key[0])
-        dst_owner = registry.owner_of(key[1])
+        return self._cache_owners(key, registry.owner_of(key[0]),
+                                  registry.owner_of(key[1]))
+
+    def _cache_owners(self, key: tuple, src_owner: Optional[NetworkUser],
+                      dst_owner: Optional[NetworkUser]) -> tuple:
+        """Cache and return the ``(src_owner, dst_owner, redirect?)`` entry
+        for a flow whose owners are resolved."""
         services = self.services
         src_inst = None if src_owner is None else services.get(src_owner.user_id)
         dst_inst = None if dst_owner is None else services.get(dst_owner.user_id)
@@ -244,54 +253,221 @@ class DecisionCore:
                    dst_owner: Optional[NetworkUser], now: float,
                    ingress_asn: Optional[int]) -> Optional[Packet]:
         """The two-stage loop with owners already resolved (shared by the
-        scalar path, the batch path's residual set, and the live facade)."""
-        local_origin = ingress_asn is None
-        stages = [(src_owner, "source"), (dst_owner, "dest")]
+        scalar path, the batch path's scalar rows, and the live facade)."""
+        for instance, graph, ctx in self._stages(src_owner, dst_owner, now,
+                                                 ingress_asn):
+            before = instance.monitor.note_in(packet)
+            # compiled scalar program: byte-identical verdicts/counters to
+            # the interpreted graph.process walk (kept as the differential
+            # oracle)
+            verdict = graph.compiled().process(packet, ctx)
+            result = packet if verdict is Verdict.PASS else None
+            try:
+                instance.monitor.check(before, result, graph.name)
+            except SafetyViolation:
+                # Sec. 4.5: contain the misbehaving service immediately.
+                instance.disabled_for_violation = True
+                self.m_safety_disables.value += 1
+                if self.strict:
+                    raise
+                # fail-safe containment: undo the forbidden mutations and
+                # let the packet continue on the normal path
+                packet.src = IPv4Address(before.src)
+                packet.dst = IPv4Address(before.dst)
+                packet.ttl = before.ttl
+                packet.size = before.size
+                continue
+            if result is None:
+                self.m_dropped.value += 1
+                return None
+        return packet
+
+    def _stages(self, src_owner: Optional[NetworkUser],
+                dst_owner: Optional[NetworkUser], now: float,
+                ingress_asn: Optional[int]
+                ) -> Iterator[tuple["ServiceInstance", ComponentGraph,
+                                    ComponentContext]]:
+        """Yield ``(instance, graph, ctx)`` for every stage that runs, in
+        stage order: the owner has an active, not-disabled service here
+        with a graph for that stage.  Eligibility is checked as each stage
+        is reached, so a violation contained in the first stage also skips
+        a second stage of the same service.  ``ctx`` is what the stage's
+        components see: time, the Sec. 4.2 device context, the stage and
+        its owner, and where the packet entered."""
+        stages = ((src_owner, "source"), (dst_owner, "dest"))
         if self.stage_order == "dst-first":  # E13 ablation only
-            stages.reverse()
+            stages = stages[::-1]
+        services = self.services
         for owner, stage in stages:
             if owner is None:
                 continue
-            packet_after = self._run_stage(packet, owner, stage, now,
-                                           ingress_asn, local_origin)
-            if packet_after is None:
-                self.m_dropped.value += 1
-                return None
-            packet = packet_after
-        return packet
+            instance = services.get(owner.user_id)
+            if (instance is None or not instance.active
+                    or instance.disabled_for_violation):
+                continue
+            graph = (instance.src_graph if stage == "source"
+                     else instance.dst_graph)
+            if graph is not None:
+                context = self.context
+                yield instance, graph, ComponentContext(
+                    now=now, asn=context.asn, is_transit=context.is_transit,
+                    local_prefix=context.local_prefix, stage=stage,
+                    owner=owner, ingress_asn=ingress_asn,
+                    local_origin=ingress_asn is None,
+                )
 
-    def _run_stage(self, packet: Packet, owner: NetworkUser, stage: str,
-                   now: float, ingress_asn: Optional[int],
-                   local_origin: bool) -> Optional[Packet]:
-        instance = self.services.get(owner.user_id)
-        if instance is None or not instance.active or instance.disabled_for_violation:
-            return packet
-        graph = instance.src_graph if stage == "source" else instance.dst_graph
-        if graph is None:
-            return packet
-        ctx = ComponentContext(
-            now=now, asn=self.context.asn, is_transit=self.context.is_transit,
-            local_prefix=self.context.local_prefix, stage=stage, owner=owner,
-            ingress_asn=ingress_asn, local_origin=local_origin,
-        )
-        before = instance.monitor.note_in(packet)
-        # compiled scalar program: byte-identical verdicts/counters to the
-        # interpreted graph.process walk (kept as the differential oracle)
-        verdict = graph.compiled().process(packet, ctx)
-        result = packet if verdict is Verdict.PASS else None
-        try:
-            instance.monitor.check(before, result, graph.name)
-        except SafetyViolation:
-            # Sec. 4.5: contain the misbehaving service immediately.
-            instance.disabled_for_violation = True
-            self.m_safety_disables.value += 1
-            if self.strict:
-                raise
-            # fail-safe containment: undo the forbidden mutations and let
-            # the packet continue on the normal path
-            packet.src = IPv4Address(before.src)
-            packet.dst = IPv4Address(before.dst)
-            packet.ttl = before.ttl
-            packet.size = before.size
-            return packet
-        return result
+    # ----------------------------------------------------------- batch path
+    def decide_batch(self, batch: "PacketBatch", now: float,
+                     ingress_asn: Optional[int]
+                     ) -> tuple[Optional["PacketBatch"],
+                                Optional["PacketBatch"]]:
+        """Vectorised redirect decision + two-stage pipeline over a batch.
+
+        1. flow resolution — the batch's 4-tuples collapse to unique flows
+           (``np.unique`` over packed uint64 key columns); cached flows are
+           resolved with one dict probe each, and the *miss set only* is
+           batch-fed through the ownership registry's compiled LPM
+           (:meth:`OwnershipRegistry.owners_of_many`),
+        2. redirect decision — a boolean take over the per-flow verdicts,
+        3. compiled stages — redirected flows are grouped by owner pair;
+           a group whose stages all have batch programs runs them
+           vectorised (:meth:`CompiledPolicy.run_batch`),
+        4. scalar rows — every other redirected packet is materialised and
+           run through :meth:`run_stages` in row order, exactly as the
+           scalar engine would.
+
+        Returns ``(passed, dropped)`` sub-batches (either may be ``None``).
+        Verdicts, counter totals and component state equal the scalar
+        ``wants``/``process`` loop's for any packet order, provided the
+        batch's distinct flows fit the flow cache (no LRU churn
+        mid-batch) — the property pinned by tests/core/test_device_batch.py.
+        """
+        n = len(batch)
+        if n == 0:
+            return batch, None
+        cache = self.synced_cache()
+        key_a, key_b = batch.flow_keys()
+        pairs = np.empty(n, dtype=[("a", np.uint64), ("b", np.uint64)])
+        pairs["a"] = key_a
+        pairs["b"] = key_b
+        _, first_idx, inverse, counts = np.unique(
+            pairs, return_index=True, return_inverse=True, return_counts=True)
+        n_unique = len(first_idx)
+        entries: list[tuple] = [()] * n_unique
+        hits = 0
+        misses: list[tuple[int, tuple, int]] = []  # (slot, key, row)
+        for j in range(n_unique):
+            row = int(first_idx[j])
+            key = (int(batch.src[row]), int(batch.dst[row]),
+                   Protocol(int(batch.proto[row])), int(batch.dport[row]))
+            entry = cache.get(key)
+            if entry is not None:
+                # scalar parity: first packet of the flow hits, and so do
+                # its count-1 repeats
+                hits += int(counts[j])
+                cache.move_to_end(key)
+                entries[j] = entry
+            else:
+                # scalar parity: first packet misses, repeats then hit
+                hits += int(counts[j]) - 1
+                misses.append((j, key, row))
+        if misses:
+            miss_rows = np.array([row for _, _, row in misses],
+                                 dtype=np.int64)
+            src_owners = self.registry.owners_of_many(batch.src[miss_rows])
+            dst_owners = self.registry.owners_of_many(batch.dst[miss_rows])
+            for (j, key, _), src_owner, dst_owner in zip(
+                    misses, src_owners, dst_owners):
+                entries[j] = self._cache_owners(key, src_owner, dst_owner)
+        self.m_fc_hits.value += hits
+        self.m_fc_misses.value += len(misses)
+
+        wants_flow = np.fromiter((e[2] for e in entries), dtype=bool,
+                                 count=n_unique)
+        wanted = wants_flow[inverse]
+        n_wanted = int(wanted.sum())
+        if n_wanted == 0:
+            return batch, None
+        # scalar parity: each redirected packet re-probes the cache inside
+        # process() (one extra hit) before running its stages
+        self.m_redirected.value += n_wanted
+        self.m_fc_hits.value += n_wanted
+
+        groups: dict[tuple, list[int]] = {}
+        for j in np.flatnonzero(wants_flow).tolist():
+            src_owner, dst_owner, _ = entries[j]
+            gkey = (None if src_owner is None else src_owner.user_id,
+                    None if dst_owner is None else dst_owner.user_id)
+            groups.setdefault(gkey, []).append(j)
+        keep = np.ones(n, dtype=bool)
+        scalar_rows = wanted.copy()
+        for flow_js in groups.values():
+            src_owner, dst_owner, _ = entries[flow_js[0]]
+            programs = self._batch_programs(src_owner, dst_owner, now,
+                                            ingress_asn)
+            if programs is None:
+                continue
+            member = np.zeros(n_unique, dtype=bool)
+            member[flow_js] = True
+            in_group = member[inverse]
+            scalar_rows &= ~in_group
+            rows = np.flatnonzero(in_group)
+            n_group = len(rows)
+            for instance, compiled, ctx in programs:
+                if len(rows) == 0:
+                    break
+                # the compiled kernels implement each component's declared
+                # semantics, so no violation is possible: the per-packet
+                # monitor snapshot collapses to in/out accounting
+                monitor = instance.monitor
+                sizes = batch.size[rows]
+                monitor.packets_in += len(rows)
+                monitor.bytes_in += int(sizes.sum())
+                alive = compiled.run_batch(batch, rows, ctx)
+                monitor.packets_out += int(alive.sum())
+                monitor.bytes_out += int(sizes[alive].sum())
+                rows = rows[alive]
+            if len(rows) < n_group:
+                self.m_dropped.value += n_group - len(rows)
+                keep[in_group] = False
+                keep[rows] = True
+
+        for i in np.flatnonzero(scalar_rows).tolist():
+            src_owner, dst_owner, _ = entries[int(inverse[i])]
+            out = self.run_stages(batch.packet_at(i), src_owner, dst_owner,
+                                  now, ingress_asn)
+            if out is None:
+                keep[i] = False
+            else:
+                batch.write_back(i, out)
+        if keep.all():
+            return batch, None
+        dropped = batch.select(~keep)
+        passed = batch.select(keep) if keep.any() else None
+        return passed, dropped
+
+    def _batch_programs(self, src_owner: Optional[NetworkUser],
+                        dst_owner: Optional[NetworkUser], now: float,
+                        ingress_asn: Optional[int]
+                        ) -> Optional[list[tuple]]:
+        """``(instance, compiled, ctx)`` for one owner pair's stages, or
+        ``None`` when the pair must take the scalar rows:
+
+        * a stage has no batch program (non-vectorizable ops),
+        * a program is order-sensitive (token buckets, bounded logs): its
+          state depends on seeing packets in row order, which running
+          group by group would not keep,
+        * the two stages share a component, which batching one whole stage
+          before the other would show a reordered packet stream.
+        """
+        programs: list[tuple] = []
+        for instance, graph, ctx in self._stages(src_owner, dst_owner, now,
+                                                 ingress_asn):
+            compiled = graph.compiled()
+            if not compiled.batch_supported or compiled.order_sensitive:
+                return None
+            programs.append((instance, compiled, ctx))
+        if (len(programs) == 2
+                and programs[0][1].shares_state_with(programs[1][1])):
+            return None
+        return programs

@@ -30,7 +30,6 @@ from repro.net.addressing import IPv4Address, Prefix, _as_int
 from repro.net.packet import Packet, Protocol
 from repro.net.topology import ASRole
 from repro.obs.metrics import declare
-from repro.policy.compiler import compile_policy
 from repro.service.clock import Clock, WallClock
 from repro.service.core import DecisionCore, FLOW_CACHE_CAPACITY
 from repro.util.tokenbucket import TokenBucket
@@ -136,55 +135,56 @@ class ServiceFacade:
         """Register the user's prefixes (if new) and install their graphs."""
         if not any(u.user_id == user.user_id for u in self.registry.users):
             self.registry.register(user)
-        return self.core.install(user, src_graph, dst_graph)
+        return self.install(user, src_graph, dst_graph)
 
     def install(self, user: NetworkUser,
                 src_graph: Optional[ComponentGraph] = None,
                 dst_graph: Optional[ComponentGraph] = None):
-        return self.core.install(user, src_graph, dst_graph)
+        instance = self.core.install(user, src_graph, dst_graph)
+        self._publish_generation()
+        return instance
 
     def uninstall(self, user_id: str) -> bool:
-        return self.core.uninstall(user_id)
+        removed = self.core.uninstall(user_id)
+        self._publish_generation()
+        return removed
 
     def set_active(self, user_id: str, active: bool) -> None:
         self.core.set_active(user_id, active)
+        self._publish_generation()
+
+    def _publish_generation(self) -> int:
+        """Mirror the core's policy generation into its gauge."""
+        generation = self.core.generation
+        self._m_policy_generation.value = generation
+        return generation
 
     def swap_policy(self, user_id: str,
                     src_graph: Optional[ComponentGraph] = None,
                     dst_graph: Optional[ComponentGraph] = None) -> int:
         """Atomically replace a live service's stage graphs.
 
-        Every non-None graph is compiled (with Sec. 4.5 vetting) *before*
+        A swap is :meth:`DecisionCore.install` over an existing service:
+        every non-None graph is compiled (with Sec. 4.5 vetting) *before*
         anything is mutated, so a rejected swap leaves the old policy
         fully active — the compiler is the transaction guard.  On success
-        the flow cache is invalidated and the policy generation advances;
-        the new generation is returned so callers can verify the swap
-        took effect.
+        the service gets a clean safety slate, the flow cache is
+        invalidated and the policy generation advances; the new
+        generation is returned so callers can verify the swap took effect.
         """
         if src_graph is None and dst_graph is None:
             raise DeploymentError(
                 f"user {user_id!r}: nothing to swap")
-        core = self.core
-        instance = core.services.get(user_id)
+        instance = self.core.services.get(user_id)
         if instance is None:
             raise DeploymentError(f"no service for user {user_id!r} here")
         try:
-            for graph in (src_graph, dst_graph):
-                if graph is not None:
-                    compile_policy(graph, vet=True)
+            self.core.install(instance.user, src_graph, dst_graph)
         except Exception:
             self._m_policy_compile_failures.value += 1
             raise
-        if src_graph is not None:
-            instance.src_graph = src_graph
-        if dst_graph is not None:
-            instance.dst_graph = dst_graph
-        # a swapped-in policy gets a clean safety slate, like install()
-        instance.disabled_for_violation = False
-        core.invalidate()
         self._m_policy_swaps.value += 1
-        self._m_policy_generation.value = core.generation
-        return core.generation
+        return self._publish_generation()
 
     # ------------------------------------------------------------------ check
     def check(self, src, dst, *, proto: Protocol = Protocol.TCP,
@@ -218,13 +218,6 @@ class ServiceFacade:
         self._m_pass.value += 1
         return Verdict(allowed=True, redirected=True, reason="processed",
                        src_owner=src_id, dst_owner=dst_id)
-
-    def check_packet(self, packet: Packet,
-                     now: Optional[float] = None) -> Verdict:
-        """:meth:`check` for an already-materialised :class:`Packet`."""
-        return self.check(packet.src.value, packet.dst.value,
-                          proto=packet.proto, sport=packet.sport,
-                          dport=packet.dport, size=packet.size, now=now)
 
 
 class TrafficController:

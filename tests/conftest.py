@@ -11,3 +11,10 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--update-golden", action="store_true", default=False,
+        help="rewrite tests/golden/experiments.json from this run instead "
+             "of checking it (say in CHANGES.md why the outputs moved)")

@@ -1,9 +1,10 @@
 """The device's vectorised pure-observer fast path vs the scalar walk.
 
 When every installed stage graph is a PASS-chain of batch-capable
-observers (no drops, no mutations), ``AdaptiveDevice.process_batch``
-collapses the per-packet verdict loop into one ``process_batch`` call per
-component (see :meth:`repro.core.graph.ComponentGraph.batch_plan`).
+observers (no drops, no mutations), the graph compiles to a batch program
+of observer-batch ops, and ``AdaptiveDevice.process_batch`` collapses the
+per-packet verdict loop into one ``process_batch`` call per component
+(see :meth:`repro.policy.compiler.CompiledPolicy.run_batch`).
 Property under test: the fast path leaves component state, collector
 counters and the metrics registry identical to the per-packet reference —
 and never falls back to the scalar ``ComponentGraph.process`` walk.
@@ -23,6 +24,7 @@ from repro.core.components import (
 )
 from repro.net import PacketBatch, Protocol
 from repro.obs import scoped
+from repro.policy.ir import OpKind
 from repro.scenario.devices import build_device
 
 N_SUBSCRIBERS = 4
@@ -134,15 +136,22 @@ class TestObserverFastPath:
         graph = ComponentGraph("obs")
         graph.chain(StatisticsCollector(),
                     TrafficMatrixCollector(resolver=_resolver))
-        plan = graph.batch_plan()
-        assert plan is not None and len(plan) == 2
+        compiled = graph.compiled()
+        assert compiled.batch_supported
+        assert [op.kind for op in compiled.policy.ops] \
+            == [OpKind.OBSERVER_BATCH] * 2
 
     def test_no_plan_when_chain_may_drop(self):
+        """A dropping filter still batches, but not as a pure-observer
+        chain: the filter runs as a row-mask op."""
         graph = ComponentGraph("filtered")
         graph.chain(StatisticsCollector(),
                     HeaderFilter("f", HeaderMatch(proto=Protocol.TCP,
                                                   dport=7)))
-        assert graph.batch_plan() is None
+        compiled = graph.compiled()
+        assert compiled.batch_supported
+        assert [op.kind for op in compiled.policy.ops] \
+            == [OpKind.OBSERVER_BATCH, OpKind.FILTER]
 
     def test_mixed_deployment_still_correct(self):
         """One subscriber with a dropping filter: its flows take the

@@ -72,7 +72,6 @@ class TestCacheTransparency:
             assert device.wants(pkt)
         assert device.flow_cache_hits == hits_before + 5
         assert device.flow_cache_misses == 1
-        assert 0.0 < device.flow_cache_hit_rate < 1.0
 
     def test_distinct_dport_is_distinct_flow(self):
         device, users, _ = make_device()
@@ -193,15 +192,15 @@ class TestProcessFastPath:
 class TestLRUBounds:
     def test_capacity_enforced(self):
         device, users, _ = make_device()
-        device.flow_cache_capacity = 8
+        device.core.flow_cache_capacity = 8
         for i in range(50):
             device.wants(Packet.udp(IPv4Address(0xAC100000 + i),
                                     IPv4Address(users[0].prefixes[0].base + 3)))
-        assert len(device._flow_cache) <= 8
+        assert len(device.core.flow_cache) <= 8
 
     def test_lru_evicts_oldest(self):
         device, users, _ = make_device()
-        device.flow_cache_capacity = 2
+        device.core.flow_cache_capacity = 2
         dst = IPv4Address(users[0].prefixes[0].base + 3)
         a = Packet.udp(IPv4Address(1), dst)
         b = Packet.udp(IPv4Address(2), dst)

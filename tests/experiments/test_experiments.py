@@ -1,14 +1,14 @@
 """Smoke + shape tests for every experiment module.
 
-Each experiment runs at a tiny scale and its table must (a) be non-empty
-with the declared columns and (b) exhibit the paper's qualitative shape.
+Each experiment runs once per session at a tiny scale (the
+``experiment_tables`` fixture, shared with the golden digests) and its
+table must (a) be non-empty with the declared columns and (b) exhibit
+the paper's qualitative shape.
 """
 
 import pytest
 
-from repro.experiments.common import ExperimentConfig, registry, run_all
-
-CFG = ExperimentConfig(seed=42, scale=0.2)
+from repro.experiments.common import registry, run_all
 
 
 class TestRegistry:
@@ -16,17 +16,15 @@ class TestRegistry:
         ids = set(registry())
         assert ids == {f"E{i}" for i in range(1, 17)}
 
-    def test_run_all_subset(self):
-        results = run_all(CFG, only=["E5"])
+    def test_run_all_subset(self, experiment_config):
+        results = run_all(experiment_config, only=["E5"])
         assert set(results) == {"E5"}
 
 
 class TestE1:
     @pytest.fixture(scope="class")
-    def tables(self):
-        from repro.experiments import e1_reflector_anatomy
-
-        return e1_reflector_anatomy.run(CFG)
+    def tables(self, experiment_tables):
+        return experiment_tables["E1"]
 
     def test_rate_amplification_exceeds_one(self, tables):
         anatomy = tables[0]
@@ -48,10 +46,8 @@ class TestE1:
 
 class TestE2:
     @pytest.fixture(scope="class")
-    def table(self):
-        from repro.experiments import e2_mitigation_matrix
-
-        return e2_mitigation_matrix.run(CFG)[0]
+    def table(self, experiment_tables):
+        return experiment_tables["E2"][0]
 
     def _cell(self, table, attack, mitigation):
         for row in table.rows:
@@ -90,10 +86,8 @@ class TestE2:
 
 class TestE3:
     @pytest.fixture(scope="class")
-    def table(self):
-        from repro.experiments import e3_deployment_sweep
-
-        return e3_deployment_sweep.run(CFG)[0]
+    def table(self, experiment_tables):
+        return experiment_tables["E3"][0]
 
     def test_monotone_decreasing_in_fraction(self, table):
         for col in ("ingress@random-stubs", "rbf@top-degree"):
@@ -120,10 +114,8 @@ class TestE3:
 
 class TestE4:
     @pytest.fixture(scope="class")
-    def tables(self):
-        from repro.experiments import e4_tcs_defense
-
-        return e4_tcs_defense.run(CFG)
+    def tables(self, experiment_tables):
+        return experiment_tables["E4"]
 
     def test_attack_decreases_with_deployment(self, tables):
         values = tables[0].column("attack_at_victim_frac")
@@ -152,20 +144,16 @@ class TestE4:
 
 
 class TestE5:
-    def test_every_attempt_blocked(self):
-        from repro.experiments import e5_safety
-
-        table = e5_safety.run(CFG)[0]
+    def test_every_attempt_blocked(self, experiment_tables):
+        table = experiment_tables["E5"][0]
         assert len(table) == 10
         assert all(row[2] is True for row in table.rows)
 
 
 class TestE6:
     @pytest.fixture(scope="class")
-    def tables(self):
-        from repro.experiments import e6_scalability
-
-        return e6_scalability.run(CFG)
+    def tables(self, experiment_tables):
+        return experiment_tables["E6"]
 
     def test_rules_linear_in_subscribers(self, tables):
         subs = tables[0].column("subscribers")
@@ -181,10 +169,8 @@ class TestE6:
 
 
 class TestE7:
-    def test_workflows_and_resilience(self):
-        from repro.experiments import e7_control_plane
-
-        workflow, resilience, inband = e7_control_plane.run(CFG)
+    def test_workflows_and_resilience(self, experiment_tables):
+        workflow, resilience, inband = experiment_tables["E7"]
         assert all(row[1] == "ok" for row in workflow.rows)
         # in-band: unflooded control plane works, heavy flood starves it
         answered = inband.column("requests_answered_%")
@@ -199,10 +185,8 @@ class TestE7:
 
 
 class TestE8:
-    def test_firewall_restores_survival(self):
-        from repro.experiments import e8_protocol_misuse
-
-        table = e8_protocol_misuse.run(CFG)[0]
+    def test_firewall_restores_survival(self, experiment_tables):
+        table = experiment_tables["E8"][0]
         for row in table.rows:
             assert row[3] == 1.0        # with firewall: everything survives
             if row[1] >= 20:
@@ -211,10 +195,8 @@ class TestE8:
 
 class TestE9:
     @pytest.fixture(scope="class")
-    def tables(self):
-        from repro.experiments import e9_traceback
-
-        return e9_traceback.run(CFG)
+    def tables(self, experiment_tables):
+        return experiment_tables["E9"]
 
     def test_reflector_attacks_identified_wrong(self, tables):
         for row in tables[0].rows:
@@ -236,10 +218,9 @@ class TestE9:
 
 
 class TestE10:
-    def test_reaction_reduces_attack_and_keeps_goodput(self):
-        from repro.experiments import e10_triggers
-
-        table = e10_triggers.run(CFG)[0]
+    def test_reaction_reduces_attack_and_keeps_goodput(self,
+                                                      experiment_tables):
+        table = experiment_tables["E10"][0]
         baseline = table.rows[0]
         assert baseline[0] == "off"
         for row in table.rows[1:]:
@@ -249,10 +230,8 @@ class TestE10:
 
 
 class TestE11:
-    def test_delay_estimates_accurate(self):
-        from repro.experiments import e11_debugging
-
-        table = e11_debugging.run(CFG)[0]
+    def test_delay_estimates_accurate(self, experiment_tables):
+        table = experiment_tables["E11"][0]
         clean = [row for row in table.rows if row[4] == "no"]
         assert all(row[3] < 5.0 for row in clean)  # <5% error
         squeezed = [row for row in table.rows if row[4] == "yes"]

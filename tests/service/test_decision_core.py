@@ -246,5 +246,5 @@ class TestDeviceParity:
         registry, acme, graph = self.world()
         device = AdaptiveDevice(CTX, registry)
         device.install(acme, dst_graph=graph)
-        assert device.services is device._core.services
-        assert "acme" in device._core.services
+        assert device.services is device.core.services
+        assert "acme" in device.core.services

@@ -7,6 +7,7 @@ from repro.core.graph import ComponentGraph
 from repro.core.ownership import NetworkUser
 from repro.errors import ComponentGraphError, DeploymentError
 from repro.net import Prefix, Protocol
+from repro.obs import scoped
 from repro.service.facade import ServiceFacade, TrafficController
 
 
@@ -80,3 +81,25 @@ class TestSwapPolicy:
         generation = controller.swap_policy("u1", src_graph=replacement)
         assert generation == facade.core.generation
         assert controller.allow("10.1.2.3", now=0.0).allowed
+
+
+class TestGenerationGauge:
+    def test_gauge_follows_every_mutator(self):
+        """``service.policy.generation`` reads ``core.generation`` after
+        each facade mutator, not only after a swap."""
+        with scoped() as reg:
+            facade = make_facade()  # subscribe
+
+            def gauge():
+                return reg.snapshot()["service.policy.generation"]
+
+            assert gauge() == facade.core.generation == 1
+            facade.set_active("u1", False)
+            assert gauge() == facade.core.generation == 2
+            replacement = ComponentGraph("v2")
+            replacement.chain(HeaderFilter("f", HeaderMatch(
+                proto=Protocol.TCP)))
+            facade.swap_policy("u1", src_graph=replacement)
+            assert gauge() == facade.core.generation == 3
+            facade.uninstall("u1")
+            assert gauge() == facade.core.generation == 4
