@@ -9,7 +9,7 @@
 * :mod:`debugging` — network debugging and traffic statistics.
 """
 
-from repro.core.apps.antispoof import AntiSpoofApp, TcsAntiSpoofMitigation
+from repro.core.apps.antispoof import AntiSpoofApp, antispoof_fluid_filter
 from repro.core.apps.firewall import DistributedFirewallApp, FirewallRule
 from repro.core.apps.spie_traceback import SpieTracebackApp
 from repro.core.apps.triggers import AutoReactionApp
@@ -19,7 +19,7 @@ from repro.core.apps.defender import DefenseAction, ReactiveDefender
 
 __all__ = [
     "AntiSpoofApp",
-    "TcsAntiSpoofMitigation",
+    "antispoof_fluid_filter",
     "DistributedFirewallApp",
     "FirewallRule",
     "SpieTracebackApp",

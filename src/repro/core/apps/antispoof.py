@@ -6,28 +6,24 @@ system, almost instantly deploy worldwide ingress filtering rules.  These
 rules will block all traffic that enters the Internet from customers of a
 peripheral ISP and that carries this web site's spoofed IP address."
 
-:class:`AntiSpoofApp` wraps the service facade; :class:`TcsAntiSpoofMitigation`
-adapts it to the common :class:`~repro.mitigation.base.Mitigation`
-interface so E2 can compare it head-to-head with the baselines, and
-provides the fluid-model filter for the E4 deployment sweeps.
+:class:`AntiSpoofApp` deploys the rule onto adaptive devices through the
+service facade; every packet-level user (E2's ``tcs`` cells, the reactive
+defender) goes through it.  :func:`antispoof_fluid_filter` is the same
+rule in the fluid model, for the E4/E12 deployment sweeps.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.core.components import SourceAntiSpoof
 from repro.core.device import DeviceContext
 from repro.core.deployment import DeploymentScope
 from repro.core.graph import ComponentGraph
 from repro.core.service import TrafficControlService
-from repro.mitigation.base import Mitigation
-from repro.net.addressing import Prefix
-from repro.net.fluid import Flow
-from repro.net.network import Network
-from repro.net.topology import ASRole
+from repro.net.fluid import Flow, FluidFilter
 
-__all__ = ["AntiSpoofApp", "TcsAntiSpoofMitigation"]
+__all__ = ["AntiSpoofApp", "antispoof_fluid_filter"]
 
 
 class AntiSpoofApp:
@@ -64,58 +60,24 @@ class AntiSpoofApp:
         return sum(c.dropped for c in self.components())
 
 
-class TcsAntiSpoofMitigation(Mitigation):
-    """Mitigation-interface adapter for the E2/E4 comparisons.
+def antispoof_fluid_filter(protected_asns: Iterable[int],
+                           deployed_asns: Iterable[int]) -> FluidFilter:
+    """The fluid-model anti-spoofing filter for E4, E12 and the fluid engine.
 
-    Packet-level deployment goes through a provided service facade; the
-    fluid filter reproduces the same semantics analytically: a spoofed flow
-    claiming a protected prefix dies at its *source AS* whenever that stub
-    AS hosts an adaptive device with the rule.
+    It reproduces :class:`AntiSpoofApp`'s semantics analytically: a spoofed
+    flow claiming a protected AS's address dies at its *source AS* whenever
+    that stub AS hosts an adaptive device with the rule.
     """
+    protected = set(protected_asns)
+    deployed = set(deployed_asns)
 
-    name = "tcs-antispoof"
+    class _Fluid:
+        def pass_fraction(self, flow: Flow, asn: int, prev_asn, pos: int,
+                          path) -> float:
+            if (pos == 0 and asn in deployed and flow.spoofed
+                    and flow.source_address_asn in protected
+                    and flow.src_asn not in protected):
+                return 0.0
+            return 1.0
 
-    def __init__(self, protected_prefixes: Sequence[Prefix],
-                 protected_asns: Sequence[int]) -> None:
-        super().__init__()
-        self.protected_prefixes = list(protected_prefixes)
-        self.protected_asns = set(protected_asns)
-        self._network: Optional[Network] = None
-
-    def deploy(self, network: Network, asns: Iterable[int]) -> None:
-        """Standalone deployment (without the TCSP plumbing): install the
-        anti-spoof check as a router filter at the given stub ASes."""
-        self._network = network
-        from repro.net.node import Host
-
-        for asn in asns:
-            if network.topology.role_of(asn) is not ASRole.STUB:
-                continue  # the rule only applies at peripheral ISPs
-            router = network.routers[asn]
-            local_prefix = network.topology.prefix_of(asn)
-
-            def filt(packet, router, link, now, local_prefix=local_prefix):
-                if link is None or not isinstance(link.src, Host):
-                    return True  # transit traffic is never touched
-                for prefix in self.protected_prefixes:
-                    if prefix.contains(packet.src) and not local_prefix.overlaps(prefix):
-                        return False
-                return True
-
-            router.add_filter(self.name, filt)
-            self.deployed_asns.add(asn)
-
-    def fluid_filter(self):
-        mitigation = self
-
-        class _Fluid:
-            def pass_fraction(self, flow: Flow, asn: int, prev_asn, pos: int,
-                              path) -> float:
-                if (pos == 0 and asn in mitigation.deployed_asns
-                        and flow.spoofed
-                        and flow.source_address_asn in mitigation.protected_asns
-                        and flow.src_asn not in mitigation.protected_asns):
-                    return 0.0
-                return 1.0
-
-        return _Fluid()
+    return _Fluid()

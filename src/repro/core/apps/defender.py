@@ -21,7 +21,6 @@ from typing import Optional
 
 from repro.core.apps.antispoof import AntiSpoofApp
 from repro.core.apps.firewall import DistributedFirewallApp, FirewallRule
-from repro.core.components import HeaderMatch
 from repro.core.deployment import DeploymentScope
 from repro.core.service import TrafficControlService
 from repro.net.node import Host
@@ -109,12 +108,8 @@ class ReactiveDefender:
         self._deployed.add(signature)
         if signature == "udp-flood":
             # drop UDP everywhere except toward the victim's service ports
-            rules = [FirewallRule(
-                "drop-offservice-udp",
-                HeaderMatch(proto=Protocol.UDP,
-                            dport_not_in=tuple(sorted(self.service_ports))),
-            )]
-            app = DistributedFirewallApp(self.service, rules)
+            app = DistributedFirewallApp(self.service, [
+                FirewallRule.drop_offservice_udp(self.service_ports)])
             result = app.deploy(DeploymentScope.stub_borders())
             response = "firewall: drop off-service UDP at stub borders"
         elif signature == "reflection":

@@ -50,6 +50,14 @@ class FirewallRule:
                    HeaderMatch(proto=Protocol.ICMP, icmp_type=ICMPType.HOST_UNREACHABLE))
 
     @classmethod
+    def drop_offservice_udp(cls, service_ports: Sequence[int]) -> "FirewallRule":
+        """Drop UDP aimed at any port but the owner's service ports (the
+        answer to a UDP flood)."""
+        return cls("drop-offservice-udp",
+                   HeaderMatch(proto=Protocol.UDP,
+                               dport_not_in=tuple(sorted(service_ports))))
+
+    @classmethod
     def block_port(cls, dport: int, proto: Protocol = Protocol.UDP) -> "FirewallRule":
         return cls(f"block-{proto.name.lower()}-{dport}",
                    HeaderMatch(proto=proto, dport=dport))

@@ -20,8 +20,9 @@ from __future__ import annotations
 from repro.attack import DirectFlood
 from repro.experiments.common import ExperimentConfig, register
 from repro.mitigation import Pushback, PushbackConfig
-from repro.net import LinkParams, Network
+from repro.net import LinkParams, Network, Packet
 from repro.scenario import TopologySpec
+from repro.scenario.tcs import blacklist_sources, build_tcs_world
 from repro.util.tables import Table
 from repro.util.units import Mbps, ms
 
@@ -45,18 +46,8 @@ def _run_once(cfg: ExperimentConfig, defense: str):
         pushback = Pushback(PushbackConfig(top_aggregates=3))
         pushback.deploy(net, net.topology.as_numbers, until=1.2)
     elif defense == "tcs":
-        victim_prefix = net.topology.prefix_of(victim.asn)
-        agent_prefixes = [net.topology.prefix_of(a.asn) for a in agents]
-        for asn in {a.asn for a in agents}:
-            prefix = net.topology.prefix_of(asn)
-
-            def filt(pkt, router, link, now, prefix=prefix,
-                     victim_prefix=victim_prefix):
-                return not (victim_prefix.contains(pkt.dst)
-                            and prefix.contains(pkt.src))
-
-            net.routers[asn].add_filter("tcs-blacklist", filt)
-        del agent_prefixes
+        world = build_tcs_world(net, owner_asn=victim.asn, service=True)
+        blacklist_sources(world.service, {a.asn for a in agents})
 
     DirectFlood(net, agents, victim, rate_pps=500.0, duration=0.8,
                 spoof="none", seed=cfg.seed).launch()
@@ -64,9 +55,8 @@ def _run_once(cfg: ExperimentConfig, defense: str):
     for i, client in enumerate(clients):
         for j in range(legit_sent // len(clients)):
             net.sim.schedule_at(0.05 + j * 0.08 + i * 0.01, client.send,
-                                __import__("repro.net", fromlist=["Packet"])
-                                .Packet.udp(client.address, victim.address,
-                                            dport=80, size=256, kind="legit"))
+                                Packet.udp(client.address, victim.address,
+                                           dport=80, size=256, kind="legit"))
     net.run(until=1.3)
     farm_link_util = victim.downlink.tx_bytes * 8 / FARM_LINK.bandwidth / 0.8
     legit_serviced = victim.received_by_kind.get("legit", 0)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.apps import TcsAntiSpoofMitigation
+from repro.core.apps import antispoof_fluid_filter
 from repro.experiments.common import ExperimentConfig, register
 from repro.net import Flow, FluidNetwork
 from repro.scenario import TopologySpec
@@ -84,10 +84,8 @@ def defense_sweep_table(cfg: ExperimentConfig) -> Table:
                           + sum(v for k, v in res0.byte_hops.items()
                                 if k.startswith("attack")))
         for fraction in FRACTIONS:
-            mit = TcsAntiSpoofMitigation(
-                [topo.prefix_of(victim_asn)], [victim_asn])
-            mit.deployed_asns = set(stubs[: int(round(fraction * len(stubs)))])
-            filt = mit.fluid_filter()
+            filt = antispoof_fluid_filter(
+                [victim_asn], stubs[: int(round(fraction * len(stubs)))])
             req, res = model.evaluate(filters=[filt], extra_flows=legit,
                                       congestion=False)
             attack = res.delivered_rate("attack-reflected", dst_asn=victim_asn)
@@ -130,9 +128,8 @@ def placement_table(cfg: ExperimentConfig) -> Table:
 
     base_bh = byte_hops(req0, res0)
     # TCS at all stub borders
-    mit = TcsAntiSpoofMitigation([topo.prefix_of(victim_asn)], [victim_asn])
-    mit.deployed_asns = set(topo.stub_ases)
-    req1, res1 = model.evaluate(filters=[mit.fluid_filter()],
+    tcs = antispoof_fluid_filter([victim_asn], topo.stub_ases)
+    req1, res1 = model.evaluate(filters=[tcs],
                                 extra_flows=legit, congestion=False)
     # victim-edge filter
     req2, res2 = model.evaluate(filters=[_VictimEdgeFilter(victim_asn)],

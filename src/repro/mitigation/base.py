@@ -2,8 +2,8 @@
 
 A mitigation deploys onto a set of ASes of a packet-level network (and
 optionally exposes a fluid-model filter).  Experiments drive all baselines
-— and the paper's traffic control service — through this one interface, so
-the E2 effectiveness matrix compares like with like.
+through this one interface; the paper's traffic control service deploys
+onto adaptive devices instead (see :mod:`repro.scenario.defenses`).
 """
 
 from __future__ import annotations

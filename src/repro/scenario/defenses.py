@@ -9,10 +9,12 @@ wrapper for cooperative legitimate clients (overlays, i3 triggers), and
 finalizers that run after the simulation (e.g. pushback reads its
 aggregates off the live routers).
 
-The deploy bodies are the ones E2's mitigation matrix always used — they
-moved here verbatim so every experiment and the CLI share a single
-implementation.  A second registry maps the defenses that also exist in
-the fluid model (ingress, route-based, TCS anti-spoofing) to their
+Every experiment and the CLI share these bodies.  The baselines install
+router filters, because they model routers; ``tcs`` and ``tcs-spec``
+bootstrap the victim's service (:func:`~repro.scenario.tcs.build_tcs_world`)
+and deploy onto adaptive devices, so their rules only see owned traffic.
+A second registry maps the defenses that also exist in the fluid model
+(ingress, route-based, TCS anti-spoofing) to their
 :class:`~repro.net.fluid.FluidFilter` builders for the fluid engine.
 """
 
@@ -21,11 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, TYPE_CHECKING
 
-from repro.core.apps import TcsAntiSpoofMitigation
-from repro.core.components import ComponentContext, Verdict
-from repro.core.compose import RuleSpec, ServiceSpec, compile_spec
-from repro.core.device import DeviceContext
-from repro.core.ownership import NetworkUser
+from repro.core.apps import (
+    AntiSpoofApp,
+    DistributedFirewallApp,
+    FirewallRule,
+    antispoof_fluid_filter,
+)
+from repro.core.compose import RuleSpec, ServiceSpec, spec_factory
+from repro.core.deployment import DeploymentScope
+from repro.core.service import TrafficControlService
 from repro.mitigation import (
     I3Defense,
     IngressFiltering,
@@ -40,8 +46,8 @@ from repro.mitigation import (
 )
 from repro.mitigation.traceback import MarkingCollector
 from repro.net import Protocol
-from repro.net.topology import ASRole
 from repro.scenario.spec import DefenseSpec, SpecError
+from repro.scenario.tcs import blacklist_sources, build_tcs_world
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.fluid import FluidNetwork
@@ -125,7 +131,7 @@ def fluid_filters(built: "BuiltScenario", spec: DefenseSpec,
 
 
 # --------------------------------------------------------------------------
-# packet-engine deployments (moved verbatim from E2's mitigation matrix)
+# packet-engine deployments
 # --------------------------------------------------------------------------
 
 @defense("none")
@@ -253,10 +259,23 @@ def _deploy_lasthop(built: "BuiltScenario",
     return handle
 
 
+def _tcs_service(built: "BuiltScenario") -> TrafficControlService:
+    """The victim's service on the TCS control plane (Sec. 4.1); each NMS
+    runs its watchdog so a device that restarts wiped gets it back."""
+    world = build_tcs_world(built.network, owner_asn=built.victim_asn,
+                            service=True)
+    for nms in world.nmses:
+        nms.start_watchdog()
+    built.extras["tcs"] = world
+    assert world.service is not None
+    return world.service
+
+
 @defense("tcs")
 def _deploy_tcs(built: "BuiltScenario", spec: DefenseSpec) -> DefenseHandle:
     """The paper's own service, specialised per attack class (Sec. 4.3)."""
     net, sc = built.network, built.scenario
+    service = _tcs_service(built)
     attack_kind = sc.config.attack_kind
     handle = DefenseHandle(name="tcs")
 
@@ -266,24 +285,13 @@ def _deploy_tcs(built: "BuiltScenario", spec: DefenseSpec) -> DefenseHandle:
         sc.victim.record = True
 
         def react_tcs() -> None:
-            src_asns = {
+            owners = {
                 net.topology.as_of(p.src)
                 for _, p in sc.victim.log if p.kind.startswith("attack")
             }
-            src_asns.discard(None)
+            src_asns = {asn for asn in owners if asn is not None}
             handle.identified.update(src_asns)
-            victim_prefix = net.topology.prefix_of(sc.victim_asn)
-            for asn in src_asns:
-                prefix = net.topology.prefix_of(asn)
-
-                def filt(pkt, router, link, now,
-                         prefix=prefix, victim_prefix=victim_prefix):
-                    # scope-confined: only the owner's (victim-bound)
-                    # traffic from the offending prefix is touched
-                    return not (victim_prefix.contains(pkt.dst)
-                                and prefix.contains(pkt.src))
-
-                net.routers[asn].add_filter("tcs-blacklist", filt)
+            blacklist_sources(service, src_asns)
 
         net.sim.schedule_at(sc.config.attack_start + 0.2, react_tcs)
         handle.notes = "TCS blacklist near sources (genuine addresses)"
@@ -292,19 +300,12 @@ def _deploy_tcs(built: "BuiltScenario", spec: DefenseSpec) -> DefenseHandle:
         # owns the *destination*: a distributed firewall rule (drop
         # off-service UDP toward the victim) runs in the dst-owner
         # stage at every stub border, killing the flood at the source.
-        victim_prefix = net.topology.prefix_of(sc.victim_asn)
-        for asn in net.topology.stub_ases:
-            def filt(pkt, router, link, now, victim_prefix=victim_prefix):
-                return not (victim_prefix.contains(pkt.dst)
-                            and pkt.proto is Protocol.UDP
-                            and pkt.dport != 80)
-
-            net.routers[asn].add_filter("tcs-firewall", filt)
+        DistributedFirewallApp(
+            service, [FirewallRule.drop_offservice_udp((80,))],
+        ).deploy(DeploymentScope.stub_borders())
         handle.notes = "TCS distributed firewall (dst-owner stage) at stub borders"
     else:
-        prefix = net.topology.prefix_of(sc.victim_asn)
-        mit = TcsAntiSpoofMitigation([prefix], [sc.victim_asn])
-        mit.deploy(net, net.topology.stub_ases)
+        AntiSpoofApp(service).deploy(DeploymentScope.stub_borders())
         handle.notes = "TCS anti-spoofing at all stub borders"
     return handle
 
@@ -314,15 +315,14 @@ def _deploy_tcs_spec(built: "BuiltScenario",
                      spec: DefenseSpec) -> DefenseHandle:
     """TCS deployed from a *declarative* service spec via the policy compiler.
 
-    Where ``tcs`` hand-writes its per-attack router filters, this variant
+    Where ``tcs`` builds its per-attack graphs in code, this variant
     states the policy as a :class:`ServiceSpec` (rules may come from the
     defense spec's ``rules`` parameter) and lowers it through
-    :func:`compile_spec` — structural validation, Sec. 4.5 vetting, and
-    program generation all run as compiler passes — then installs the
-    compiled policy at every stub border as the dst-owner stage would.
+    :func:`~repro.core.compose.compile_spec` — structural validation,
+    Sec. 4.5 vetting, and program generation all run as compiler passes —
+    then deploys it in the victim's dst-owner stage at every stub border.
     """
-    net, sc = built.network, built.scenario
-    victim_prefix = net.topology.prefix_of(sc.victim_asn)
+    victim_prefix = built.network.topology.prefix_of(built.victim_asn)
     rules = spec.get("rules", None)
     if rules:
         rule_specs = tuple(RuleSpec(**r) for r in rules)
@@ -334,23 +334,10 @@ def _deploy_tcs_spec(built: "BuiltScenario",
                                dst_prefix=str(victim_prefix),
                                label="offservice-udp"),)
     service_spec = ServiceSpec(name="tcs-spec", rules=rule_specs)
-    owner = NetworkUser("tcs-spec-victim", "victim", [victim_prefix])
-    deployed = 0
-    for asn in net.topology.stub_ases:
-        device_ctx = DeviceContext(asn=asn, role=ASRole.STUB,
-                                   local_prefix=net.topology.prefix_of(asn))
-        compiled = compile_spec(service_spec, device_ctx).compiled()
-
-        def filt(pkt, router, link, now,
-                 compiled=compiled, device_ctx=device_ctx, owner=owner):
-            ctx = ComponentContext(
-                now=now, asn=device_ctx.asn, is_transit=False,
-                local_prefix=device_ctx.local_prefix, stage="dest",
-                owner=owner, ingress_asn=None, local_origin=True)
-            return compiled.process(pkt, ctx) is Verdict.PASS
-
-        net.routers[asn].add_filter("tcs-spec", filt)
-        deployed += 1
+    configured = _tcs_service(built).deploy(
+        DeploymentScope.stub_borders(),
+        dst_graph_factory=spec_factory(service_spec))
+    deployed = sum(len(asns) for asns in configured.values())
     return DefenseHandle(
         name="tcs-spec",
         notes=f"declarative spec compiled at {deployed} stub borders")
@@ -387,8 +374,5 @@ def _fluid_rbf(built: "BuiltScenario", spec: DefenseSpec,
 @fluid_defense("tcs")
 def _fluid_tcs(built: "BuiltScenario", spec: DefenseSpec,
                fluid: "FluidNetwork") -> list:
-    topo = built.topology
-    mit = TcsAntiSpoofMitigation([topo.prefix_of(built.victim_asn)],
-                                 [built.victim_asn])
-    mit.deployed_asns = set(topo.stub_ases)
-    return [mit.fluid_filter()]
+    return [antispoof_fluid_filter([built.victim_asn],
+                                   built.topology.stub_ases)]

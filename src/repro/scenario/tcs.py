@@ -15,21 +15,25 @@ with the remainder on the last one (the E7/E16 shape).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, TYPE_CHECKING
+from typing import Iterable, Optional, TYPE_CHECKING
 
 from repro.core import (
+    ComponentGraph,
+    DeploymentScope,
+    DeviceContext,
     NumberAuthority,
     Tcsp,
     TcspReplicaSet,
     TrafficControlService,
 )
+from repro.core.components import PrefixBlacklist
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.nms import IspNms
     from repro.core.storage import StorageBackend
     from repro.net.network import Network
 
-__all__ = ["TcsWorld", "build_tcs_world"]
+__all__ = ["TcsWorld", "build_tcs_world", "blacklist_sources"]
 
 
 @dataclass
@@ -108,3 +112,20 @@ def build_tcs_world(net: "Network", *, owner: str = "acme",
             world.service = TrafficControlService(tcsp, world.user,
                                                   world.cert, home_nms=home)
     return world
+
+
+def blacklist_sources(service: TrafficControlService,
+                      asns: Iterable[int]) -> dict[str, list[int]]:
+    """Source blacklisting near the sources (Sec. 4.2), as E2 and E14 use it.
+
+    The device of each AS in ``asns`` drops the owner's traffic whose
+    source lies in that AS's own prefix.  The rule runs in the
+    destination-owner stage, so nobody else's traffic is touched.
+    """
+    def graph_factory(device_ctx: DeviceContext) -> ComponentGraph:
+        graph = ComponentGraph(f"blacklist:{service.user.user_id}")
+        graph.add(PrefixBlacklist("src-blacklist", [device_ctx.local_prefix]))
+        return graph
+
+    return service.deploy(DeploymentScope.explicit(asns),
+                          dst_graph_factory=graph_factory)

@@ -16,5 +16,6 @@ settings.load_profile("repro")
 def pytest_addoption(parser):
     parser.addoption(
         "--update-golden", action="store_true", default=False,
-        help="rewrite tests/golden/experiments.json from this run instead "
-             "of checking it (say in CHANGES.md why the outputs moved)")
+        help="rewrite the tests/golden/*.json files the selected golden "
+             "tests check from this run instead of checking them (say in "
+             "CHANGES.md why the outputs moved)")

@@ -2,7 +2,9 @@
 
 import dataclasses
 
+from repro.net import Packet
 from repro.scenario import preset, run_scenario
+from repro.scenario.build import build
 from repro.scenario.defenses import names
 from repro.scenario.spec import DefenseSpec
 
@@ -33,3 +35,19 @@ def test_rules_parameter_overrides_the_default_policy():
         {"action": "drop", "proto": "icmp", "label": "icmp-only"}])
     defended = run_scenario(with_defense(spec))
     assert defended.attack_delivered > 0
+
+
+def test_rules_stay_confined_to_the_victims_traffic():
+    """Sec. 4.1: a user controls only the packets it owns, so a rule with
+    no destination prefix still never touches other parties' traffic."""
+    built = build(with_defense(DefenseSpec.of("tcs-spec", rules=[
+        {"action": "drop", "proto": "udp"}])))
+    net = built.network
+    others = [a for a in net.topology.stub_ases if a != built.victim_asn]
+    sender, receiver = net.add_host(others[0]), net.add_host(others[-1])
+    for i in range(10):
+        net.sim.schedule_at(0.01 * i, sender.send, Packet.udp(
+            sender.address, receiver.address, dport=53, size=100,
+            kind="bystander"))
+    net.run(until=0.5)
+    assert receiver.received_by_kind.get("bystander", 0) == 10
