@@ -440,7 +440,11 @@ class PrefixTable(Generic[T]):
         """Longest-prefix-match lookup; None when nothing matches."""
         compiled = self._compiled
         if compiled is not None:
-            a = addr if type(addr) is int else _as_int(addr)
+            # packets carry IPv4Address: read .value before the coercion chain
+            if type(addr) is IPv4Address:
+                a = addr.value
+            else:
+                a = addr if type(addr) is int else _as_int(addr)
             return compiled._values[bisect_right(compiled._starts, a) - 1]
         self._lookups_since_change += 1
         if self._lookups_since_change >= _COMPILE_AFTER_LOOKUPS:

@@ -117,7 +117,7 @@ class Host(Node):
         self.responders.append(responder)
 
     def receive(self, packet: Packet, link: Optional[Link]) -> None:
-        now = self.network.sim.now
+        now = self.network.sim._now
         if self._proc_window is not None:
             if self._proc_window.rate(now) >= self.processing_pps:
                 self.cpu_dropped += 1
@@ -232,7 +232,7 @@ class Router(Node):
         self.network.note_drop(self.asn, packet, reason)
 
     def receive(self, packet: Packet, link: Optional[Link]) -> None:
-        now = self.network.sim.now
+        now = self.network.sim._now
         for name, fn in self.filters:
             if not fn(packet, self, link, now):
                 self._drop(packet, f"filter:{name}")
@@ -289,7 +289,9 @@ class Router(Node):
         return None
 
     def forward(self, packet: Packet) -> None:
-        dst_asn = self.network.topology.as_of(packet.dst)
+        net = self.network
+        # the topology's LPM directly (same lookup as Topology.as_of)
+        dst_asn = net.topology.prefix_table.lookup(packet.dst)
         if dst_asn is None:
             self._drop(packet, "no-route")
             return
@@ -300,7 +302,7 @@ class Router(Node):
             self._drop(packet, "ttl-expired")
             return
         packet.ttl -= 1
-        next_asn = self.network.routing[self.asn].next_hop(dst_asn)
+        next_asn = net.routing[self.asn].next_hop(dst_asn)
         egress = self.links.get(next_asn)
         if egress is None:
             self._drop(packet, "no-link")
@@ -310,8 +312,8 @@ class Router(Node):
         # transport-work accounting: one inter-AS hop's worth of bytes
         # ("network resources ... wasted for transporting attack traffic
         # around the globe", Sec. 6)
-        self.network.byte_hops_by_kind[packet.kind] += packet.size
-        if not egress.send(packet, self.network.sim):
+        net.byte_hops_by_kind[packet.kind] += packet.size
+        if not egress.send(packet, net.sim):
             self._drop(packet, "queue-full")
 
     def forward_batch(self, batch: PacketBatch) -> None:

@@ -1,14 +1,17 @@
 """Deterministic discrete-event simulation engine.
 
-A minimal but complete event loop: a binary heap of ``(time, seq, event)``
-tuples where ``seq`` is a monotone tiebreaker, so runs are bit-for-bit
-reproducible regardless of callback identity.  All network elements (links,
-hosts, attack processes, trigger components) schedule callbacks here.
+A minimal but complete event loop: a binary heap of ``(time, seq, fn,
+args)`` tuples where ``seq`` is a monotone tiebreaker, so runs are
+bit-for-bit reproducible regardless of callback identity.  All network
+elements (links, hosts, attack processes, trigger components) schedule
+callbacks here.
 
 Hot-path notes: heap entries are plain tuples so every sift comparison runs
-in C (no Python ``__lt__`` dispatch), :class:`Event` is a ``__slots__``
-class rather than a dataclass, and cancelled-event tombstones are swept out
-by periodic heap compaction instead of lingering until their pop time.
+in C and ``seq`` is unique, so comparison never reaches ``fn``.
+:meth:`Simulator.schedule` and friends return an :class:`Event` cancel
+handle; the per-packet callers use :meth:`Simulator.post`, which allocates
+no handle at all.  Cancellation records the entry's ``seq`` in a tombstone
+set that the run loop skips and periodic heap compaction sweeps out.
 Compaction filters the backing list and re-heapifies; because ``(time,
 seq)`` is a total order, the pop sequence — and therefore simulation
 output — is unchanged bit for bit.
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
@@ -55,30 +59,29 @@ class SimClock:
 
 
 class Event:
-    """A scheduled callback.  Ordered by (time, seq)."""
+    """Cancel handle for a scheduled callback.
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim")
+    The heap itself holds plain ``(time, seq, fn, args)`` tuples; a handle
+    only remembers which entry it names.  Cancelling an entry that already
+    fired, or one scheduled before the simulator's last :meth:`Simulator.reset`,
+    is a no-op.
+    """
 
-    def __init__(self, time: float, seq: int, fn: Callable[..., Any],
-                 args: tuple = (), cancelled: bool = False,
-                 _sim: "Optional[Simulator]" = None) -> None:
+    __slots__ = ("time", "seq", "cancelled", "_sim", "_epoch")
+
+    def __init__(self, time: float, seq: int, sim: "Simulator") -> None:
         self.time = time
         self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = cancelled
-        self._sim = _sim
+        self.cancelled = False
+        self._sim = sim
+        self._epoch = sim._epoch
 
     def cancel(self) -> None:
-        """Prevent the event from firing (O(1); it stays in the heap until
-        the next compaction sweep or its pop time)."""
+        """Prevent the event from firing (O(1); its entry stays in the heap
+        until the next compaction sweep or its pop time)."""
         if not self.cancelled:
             self.cancelled = True
-            if self._sim is not None:
-                self._sim._note_cancelled()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+            self._sim._cancel(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
@@ -98,7 +101,7 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, Callable[..., Any], tuple]] = []
         self._seq = itertools.count()
         self._now = 0.0
         # registry-backed counters (unlabelled: the most recently built
@@ -111,7 +114,10 @@ class Simulator:
         # registry snapshots (no extra zero-valued series)
         self._m_batch_events = None
         self._m_batch_packets = None
-        self._cancelled_pending = 0
+        #: seqs of cancelled entries still in the heap (tombstones)
+        self._cancelled: set[int] = set()
+        #: bumped by reset() so handles from an earlier run go inert
+        self._epoch = 0
         self.running = False
         self._reset_hooks: list[Callable[[], None]] = []
 
@@ -132,6 +138,11 @@ class Simulator:
         return self._m_processed.value
 
     @property
+    def events_cancelled(self) -> int:
+        """Pending events cancelled before they fired."""
+        return self._m_cancelled.value
+
+    @property
     def pending(self) -> int:
         """Number of events still in the heap (including cancelled ones
         not yet swept by compaction)."""
@@ -147,9 +158,18 @@ class Simulator:
         """Schedule ``fn(*args)`` at absolute simulation time ``time``."""
         if time < self._now:
             raise SimulationError(f"cannot schedule at {time:.6f} < now {self._now:.6f}")
-        ev = Event(time, next(self._seq), fn, args, False, self)
-        heapq.heappush(self._heap, (time, ev.seq, ev))
-        return ev
+        seq = next(self._seq)
+        heapq.heappush(self._heap, (time, seq, fn, args))
+        return Event(time, seq, self)
+
+    def post(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Schedule ``fn(*args)`` at ``time`` with no cancel handle.
+
+        The per-packet entry point (link delivery, traffic sources): it
+        allocates nothing but the heap tuple and skips the past-time check,
+        so the caller guarantees ``time >= now``.
+        """
+        heapq.heappush(self._heap, (time, next(self._seq), fn, args))
 
     @property
     def batch_events(self) -> int:
@@ -172,18 +192,20 @@ class Simulator:
         first use only, so a scalar-only run's registry snapshot is
         unchanged by this method existing.
         """
+        ev = self.schedule(delay, fn, batch, *args)
         if self._m_batch_events is None:
             self._m_batch_events = _BATCH_EVENTS.labelled()
             self._m_batch_packets = _BATCH_PACKETS.labelled()
         self._m_batch_events.value += 1
         self._m_batch_packets.value += len(batch)
-        return self.schedule(delay, fn, batch, *args)
+        return ev
 
     def schedule_every(self, interval: float, fn: Callable[..., Any], *args: Any,
                        until: Optional[float] = None, start: Optional[float] = None) -> Event:
         """Schedule a periodic callback (first firing at ``start`` or now+interval).
 
-        The callback may return False to stop the recurrence.
+        The callback may return False to stop the recurrence; cancelling
+        the returned handle stops it too, whichever tick is pending.
         """
         if interval <= 0:
             raise SimulationError(f"periodic interval must be > 0, got {interval}")
@@ -193,18 +215,28 @@ class Simulator:
             if until is not None and self._now > until:
                 return
             result = fn(*args)
-            if result is False:
+            if result is False or handle.cancelled:
                 return
             if until is None or self._now + interval <= until:
-                self.schedule(interval, tick)
+                nxt = self.schedule(interval, tick)
+                handle.time, handle.seq = nxt.time, nxt.seq
 
-        return self.schedule_at(first, tick)
+        handle = self.schedule_at(first, tick)
+        return handle
 
-    def _note_cancelled(self) -> None:
+    def _cancel(self, ev: Event) -> None:
+        heap = self._heap
+        # pops leave in strictly increasing (time, seq) order and every
+        # later push sorts after them, so an entry is still queued iff it
+        # does not sort before the heap's minimum
+        if (ev._epoch != self._epoch or not heap
+                or (ev.time, ev.seq) < heap[0][:2]):
+            return
+        cancelled = self._cancelled
+        cancelled.add(ev.seq)
         self._m_cancelled.value += 1
-        self._cancelled_pending += 1
-        if (self._cancelled_pending >= _COMPACT_MIN_CANCELLED
-                and self._cancelled_pending * 2 >= len(self._heap)):
+        if (len(cancelled) >= _COMPACT_MIN_CANCELLED
+                and len(cancelled) * 2 >= len(heap)):
             self._compact()
 
     def _compact(self) -> None:
@@ -213,10 +245,12 @@ class Simulator:
         ``(time, seq)`` totally orders entries, so rebuilding the heap
         cannot change the order live events pop in.
         """
+        cancelled = self._cancelled
         # in-place so aliases held by a running `run()` loop stay valid
-        self._heap[:] = [entry for entry in self._heap if not entry[2].cancelled]
+        self._heap[:] = [entry for entry in self._heap
+                         if entry[1] not in cancelled]
         heapq.heapify(self._heap)
-        self._cancelled_pending = 0
+        cancelled.clear()
         self._m_compactions.value += 1
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
@@ -225,21 +259,24 @@ class Simulator:
         processed = self._m_processed
         processed_before = processed.value
         heap = self._heap
+        cancelled = self._cancelled
+        pop = heapq.heappop
+        horizon = math.inf if until is None else until
         self.running = True
         try:
             while heap:
-                if max_events is not None and processed.value - processed_before >= max_events:
+                if (max_events is not None
+                        and processed.value - processed_before >= max_events):
                     break
-                time, _, ev = heap[0]
-                if until is not None and time > until:
+                if heap[0][0] > horizon:
                     self._now = until
                     break
-                heapq.heappop(heap)
-                if ev.cancelled:
-                    self._cancelled_pending -= 1
+                time, seq, fn, args = pop(heap)
+                if cancelled and seq in cancelled:
+                    cancelled.remove(seq)
                     continue
                 self._now = time
-                ev.fn(*ev.args)
+                fn(*args)
                 processed.value += 1
             else:
                 if until is not None:
@@ -273,7 +310,8 @@ class Simulator:
         if self._m_batch_events is not None:
             self._m_batch_events.reset()
             self._m_batch_packets.reset()
-        self._cancelled_pending = 0
+        self._cancelled.clear()
+        self._epoch += 1
         self._seq = itertools.count()
         hooks, self._reset_hooks = self._reset_hooks, []
         for fn in hooks:

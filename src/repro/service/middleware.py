@@ -10,18 +10,29 @@ Per request: the client address is read from the transport (``scope
 refused request is answered locally — 403 for a pipeline drop (the
 owner's installed filters rejected the flow), 429 for an admission-
 bucket rejection — without ever reaching the wrapped application.
+
+A client address that is not IPv4 (an IPv6 peer on a dual-stack server)
+cannot be owned by any registered IPv4 prefix: the request passes to the
+application as unowned traffic and ``service.middleware.non_ipv4_clients``
+counts it.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from repro.errors import AddressError
+from repro.obs.metrics import declare
 from repro.service.facade import TrafficController, Verdict
 
 __all__ = ["AsgiTrafficMiddleware", "WsgiTrafficMiddleware",
            "blocked_status"]
 
 _BLOCKED_BODY = b"blocked by traffic control service\n"
+
+_NON_IPV4 = declare("service.middleware.non_ipv4_clients", "counter",
+                    help="requests whose client address is not IPv4, "
+                         "passed to the app as unowned")
 
 
 def blocked_status(verdict: Verdict) -> int:
@@ -38,10 +49,15 @@ class WsgiTrafficMiddleware:
         self.app = app
         self.controller = controller
         self.blocked_body = blocked_body
+        self._m_non_ipv4 = _NON_IPV4.labelled()
 
     def __call__(self, environ, start_response):
         client = environ.get("REMOTE_ADDR") or "0.0.0.0"
-        verdict = self.controller.allow(client)
+        try:
+            verdict = self.controller.allow(client)
+        except AddressError:
+            self._m_non_ipv4.value += 1
+            return self.app(environ, start_response)
         if verdict.allowed:
             return self.app(environ, start_response)
         status = blocked_status(verdict)
@@ -65,13 +81,19 @@ class AsgiTrafficMiddleware:
         self.app = app
         self.controller = controller
         self.blocked_body = blocked_body
+        self._m_non_ipv4 = _NON_IPV4.labelled()
 
     async def __call__(self, scope, receive, send):
         if scope.get("type") != "http":
             await self.app(scope, receive, send)
             return
         client: Optional[tuple] = scope.get("client")
-        verdict = self.controller.allow(client[0] if client else "0.0.0.0")
+        try:
+            verdict = self.controller.allow(client[0] if client else "0.0.0.0")
+        except AddressError:
+            self._m_non_ipv4.value += 1
+            await self.app(scope, receive, send)
+            return
         if verdict.allowed:
             await self.app(scope, receive, send)
             return

@@ -128,6 +128,16 @@ class TestWatchdogAntiEntropy:
         net.run(until=2.0)
         assert nms.services_reinstalled == 1  # restart counter caught it
 
+    def test_stop_watchdog_stops_the_heartbeat(self):
+        net, tcsp, nmses, svc, victim_asn = build_world()
+        nms = nmses[0]
+        nms.start_watchdog(interval=0.1)
+        net.run(until=0.55)
+        assert nms.watchdog_ticks == 5
+        nms.stop_watchdog()
+        net.run(until=2.0)
+        assert nms.watchdog_ticks == 5
+
     def test_filtering_resumes_end_to_end(self):
         net, tcsp, nmses, svc, victim_asn = build_world()
         svc.deploy(DeploymentScope.stub_borders(),

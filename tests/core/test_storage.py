@@ -287,6 +287,15 @@ class TestTcspReplicaSet:
         assert tcsp.failovers == 1
         assert tcsp.reachable
 
+    def test_stop_ends_the_lease_loop(self):
+        net, tcsp, nms, prefix = _replica_world()
+        net.run(until=1.0)
+        tcsp.stop()
+        tcsp.primary.reachable = False
+        net.run(until=5.0)  # no tick runs, so nobody is promoted
+        assert tcsp.leader_index == 0
+        assert tcsp.failovers == 0
+
     def test_promoted_standby_sees_pre_crash_state(self):
         net, tcsp, nms, prefix = _replica_world()
         user, cert = tcsp.register_user("acme", [prefix])

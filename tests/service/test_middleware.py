@@ -5,6 +5,7 @@ import asyncio
 from repro.core import ComponentGraph, NetworkUser
 from repro.core.components import PrefixBlacklist
 from repro.net import Prefix
+from repro.obs import get_registry
 from repro.service import (
     AsgiTrafficMiddleware,
     ManualClock,
@@ -33,6 +34,10 @@ class TestBlockedStatus:
     def test_pipeline_drop_maps_to_403(self):
         filtered = Verdict(allowed=False, redirected=True, reason="filtered")
         assert blocked_status(filtered) == 403
+
+
+def non_ipv4_count():
+    return get_registry().snapshot()["service.middleware.non_ipv4_clients"]
 
 
 def demo_wsgi_app(environ, start_response):
@@ -92,6 +97,16 @@ class TestWsgi:
         # 0.0.0.0 is unowned -> direct pass
         assert captured["status"] == "200 OK"
         assert body == b"hello\n"
+
+    def test_ipv6_client_passes_as_unowned(self):
+        app = WsgiTrafficMiddleware(demo_wsgi_app, make_controller())
+        for addr in ("::1", "2001:db8::7"):
+            status, _headers, body = call_wsgi(app, addr)
+            assert status == "200 OK"
+            assert body == b"hello\n"
+        assert non_ipv4_count() == 2
+        call_wsgi(app, "198.51.100.7")
+        assert non_ipv4_count() == 2
 
 
 async def demo_asgi_app(scope, receive, send):
@@ -154,3 +169,10 @@ class TestAsgi:
 
         asyncio.run(app({"type": "http"}, None, send))
         assert sent[0]["status"] == 200
+
+    def test_ipv6_client_passes_as_unowned(self):
+        app = AsgiTrafficMiddleware(demo_asgi_app, make_controller())
+        sent = call_asgi(app, "::1")
+        assert sent[0]["status"] == 200
+        assert sent[1]["body"] == b"hello\n"
+        assert non_ipv4_count() == 1
